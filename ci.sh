@@ -24,6 +24,11 @@ VOLTSENSE_THREADS=4 cargo test -q --offline
 echo "==> cargo bench --no-run --offline (bench targets must compile)"
 cargo bench --no-run --offline
 
+echo "==> perfbench build + tests (its own workspace, so the steps above skip it)"
+# perfbench drives only the public API; building it here catches a library
+# change that breaks the repo benchmark.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> fault-tolerance sweep smoke (small scale, fast bench config)"
 VOLTSENSE_SCALE=small TESTKIT_BENCH_FAST=1 \
     cargo run --release --offline -p voltsense-bench --bin fault_tolerance_sweep

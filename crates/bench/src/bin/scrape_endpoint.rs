@@ -25,41 +25,13 @@
 //!   rate and at least one fast-burn page across tenants;
 //! * `/healthz` answers 200 with the structured fleet health body.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use voltsense::telemetry::json::{self, Value};
+use voltsense_bench::{fail, http_get, resolve_addr};
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("endpoint scrape FAILED: {msg}");
-    ExitCode::FAILURE
-}
-
-/// One plain HTTP/1.1 GET; returns (status code, body).
-fn get(addr: &str, path: &str) -> Result<(u32, String), String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .map_err(|e| e.to_string())?;
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes())
-        .map_err(|e| format!("send request: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("read response: {e}"))?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("{path}: malformed HTTP response"))?;
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u32>().ok())
-        .ok_or_else(|| format!("{path}: missing status code"))?;
-    Ok((status, body.to_string()))
-}
+const CHECK: &str = "endpoint scrape";
 
 /// Round-trip parse of one exposition sample line:
 /// `name[{label="value",...}] number`. Returns (metric name, has labels).
@@ -103,7 +75,7 @@ enum Scrape {
 /// One `/metrics` scrape, parsed; returns
 /// `(counter TYPEs, gauge samples, quantile samples, total samples)`.
 fn scrape_metrics(addr: &str) -> Result<(usize, usize, usize, usize), Scrape> {
-    let (status, body) = get(addr, "/metrics").map_err(Scrape::Unavailable)?;
+    let (status, body) = http_get(addr, "/metrics").map_err(Scrape::Unavailable)?;
     if status != 200 {
         return Err(Scrape::Unavailable(format!("/metrics answered {status}")));
     }
@@ -143,7 +115,7 @@ const STAGES: [&str; 5] = ["decode", "shard", "predict", "decide", "respond"];
 /// empty (the soak may not have served a reading yet), `Malformed` if a
 /// present record violates the document contract.
 fn scrape_trace(addr: &str) -> Result<usize, Scrape> {
-    let (status, body) = get(addr, "/trace").map_err(Scrape::Unavailable)?;
+    let (status, body) = http_get(addr, "/trace").map_err(Scrape::Unavailable)?;
     if status != 200 {
         return Err(Scrape::Unavailable(format!("/trace answered {status}")));
     }
@@ -192,7 +164,7 @@ fn scrape_trace(addr: &str) -> Result<usize, Scrape> {
 /// (total pages, max burn across tenants/windows). `Unavailable` until
 /// some tenant burns budget and a fast-burn page has fired.
 fn scrape_slo(addr: &str) -> Result<(u64, f64), Scrape> {
-    let (status, body) = get(addr, "/slo").map_err(Scrape::Unavailable)?;
+    let (status, body) = http_get(addr, "/slo").map_err(Scrape::Unavailable)?;
     if status != 200 {
         return Err(Scrape::Unavailable(format!("/slo answered {status}")));
     }
@@ -232,23 +204,12 @@ fn scrape_msg(e: &Scrape) -> &str {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let fleet = args.iter().any(|a| a == "--fleet");
-    let Some(arg) = args.iter().find(|a| !a.starts_with("--")).cloned() else {
-        return fail("usage: scrape_endpoint <addr | @addr-file> [--fleet]");
+    let Some(arg) = args.iter().find(|a| !a.starts_with("--")) else {
+        return fail(CHECK, "usage: scrape_endpoint <addr | @addr-file> [--fleet]");
     };
-    let addr = if let Some(path) = arg.strip_prefix('@') {
-        // The server process writes its bound address once it is up.
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            match std::fs::read_to_string(path) {
-                Ok(s) if !s.trim().is_empty() => break s.trim().to_string(),
-                _ if Instant::now() >= deadline => {
-                    return fail(&format!("address file {path} did not appear within 60s"));
-                }
-                _ => std::thread::sleep(Duration::from_millis(100)),
-            }
-        }
-    } else {
-        arg
+    let addr = match resolve_addr(arg) {
+        Ok(a) => a,
+        Err(e) => return fail(CHECK, &e),
     };
 
     // --- /metrics ----------------------------------------------------
@@ -264,16 +225,16 @@ fn main() -> ExitCode {
                     break counts;
                 }
                 if Instant::now() >= deadline {
-                    return fail(&format!(
+                    return fail(CHECK, &format!(
                         "/metrics never exposed a counter + gauge + quantile \
                          (saw {counters} counters, {gauges} gauge samples, {quantiles} quantiles)"
                     ));
                 }
             }
-            Err(Scrape::Malformed(e)) => return fail(&e),
+            Err(Scrape::Malformed(e)) => return fail(CHECK, &e),
             Err(Scrape::Unavailable(e)) => {
                 if Instant::now() >= deadline {
-                    return fail(&e);
+                    return fail(CHECK, &e);
                 }
             }
         }
@@ -281,19 +242,19 @@ fn main() -> ExitCode {
     };
 
     // --- /snapshot ---------------------------------------------------
-    let (status, body) = match get(&addr, "/snapshot") {
+    let (status, body) = match http_get(&addr, "/snapshot") {
         Ok(r) => r,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(CHECK, &e),
     };
     if status != 200 {
-        return fail(&format!("/snapshot answered {status}"));
+        return fail(CHECK, &format!("/snapshot answered {status}"));
     }
     let doc = match json::parse(&body) {
         Ok(v) => v,
-        Err(e) => return fail(&format!("/snapshot: {e}")),
+        Err(e) => return fail(CHECK, &format!("/snapshot: {e}")),
     };
     if doc.get("schema").and_then(Value::as_str) != Some("voltsense-metrics-v1") {
-        return fail("/snapshot: missing or wrong \"schema\" marker");
+        return fail(CHECK, "/snapshot: missing or wrong \"schema\" marker");
     }
     let events = doc
         .get("events")
@@ -310,13 +271,13 @@ fn main() -> ExitCode {
             match (scrape_trace(&addr), scrape_slo(&addr)) {
                 (Ok(n), Ok((pages, burn))) => break (n, pages, burn),
                 (Err(e @ Scrape::Malformed(_)), _) | (_, Err(e @ Scrape::Malformed(_))) => {
-                    return fail(scrape_msg(&e));
+                    return fail(CHECK, scrape_msg(&e));
                 }
                 (tr, sr) => {
                     if Instant::now() >= deadline {
                         let why: Vec<&str> =
                             [tr.as_ref().err(), sr.as_ref().err()].iter().flatten().map(|e| scrape_msg(e)).collect();
-                        return fail(&format!(
+                        return fail(CHECK, &format!(
                             "fleet routes never became complete: {}",
                             why.join("; ")
                         ));
@@ -325,18 +286,18 @@ fn main() -> ExitCode {
             }
             std::thread::sleep(Duration::from_millis(200));
         };
-        let (status, body) = match get(&addr, "/healthz") {
+        let (status, body) = match http_get(&addr, "/healthz") {
             Ok(r) => r,
-            Err(e) => return fail(&e),
+            Err(e) => return fail(CHECK, &e),
         };
         if status != 200 {
-            return fail(&format!("/healthz answered {status} during a healthy soak"));
+            return fail(CHECK, &format!("/healthz answered {status} during a healthy soak"));
         }
         let health_status = json::parse(&body)
             .ok()
             .and_then(|doc| doc.get("status").and_then(Value::as_str).map(str::to_string));
         if health_status.as_deref() != Some("ok") {
-            return fail(&format!(
+            return fail(CHECK, &format!(
                 "/healthz did not serve the structured fleet body, got: {}",
                 body.trim()
             ));

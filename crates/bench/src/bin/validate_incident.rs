@@ -18,11 +18,9 @@
 use std::process::ExitCode;
 
 use voltsense::telemetry::json::{self, Value};
+use voltsense_bench::fail;
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("incident validation FAILED: {msg}");
-    ExitCode::FAILURE
-}
+const CHECK: &str = "incident validation";
 
 /// Per-file structural check; returns `(kind, ring event names, failed sensor count)`.
 fn validate_file(path: &str) -> Result<(String, Vec<String>, usize), String> {
@@ -117,18 +115,18 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--expect-kind" => match args.next() {
                 Some(k) => expect_kinds.push(k),
-                None => return fail("--expect-kind needs a value"),
+                None => return fail(CHECK, "--expect-kind needs a value"),
             },
             "--expect-ring-event" => match args.next() {
                 Some(n) => expect_ring_events.push(n),
-                None => return fail("--expect-ring-event needs a value"),
+                None => return fail(CHECK, "--expect-ring-event needs a value"),
             },
             "--expect-attribution" => expect_attribution = true,
             _ => paths.push(arg),
         }
     }
     if paths.is_empty() {
-        return fail("usage: validate_incident [flags] <incident.json>...");
+        return fail(CHECK, "usage: validate_incident [flags] <incident.json>...");
     }
 
     let mut seen_kinds: Vec<String> = Vec::new();
@@ -150,13 +148,13 @@ fn main() -> ExitCode {
                     attributed_files += 1;
                 }
             }
-            Err(e) => return fail(&e),
+            Err(e) => return fail(CHECK, &e),
         }
     }
 
     for kind in &expect_kinds {
         if !seen_kinds.iter().any(|k| k == kind) {
-            return fail(&format!(
+            return fail(CHECK, &format!(
                 "no incident of kind {kind:?} among {} file(s) (saw: {seen_kinds:?})",
                 paths.len()
             ));
@@ -164,11 +162,11 @@ fn main() -> ExitCode {
     }
     for name in &expect_ring_events {
         if !seen_ring_events.iter().any(|n| n == name) {
-            return fail(&format!("no ring event named {name:?} in any incident file"));
+            return fail(CHECK, &format!("no ring event named {name:?} in any incident file"));
         }
     }
     if expect_attribution && attributed_files == 0 {
-        return fail("no incident file attributes a failed sensor");
+        return fail(CHECK, "no incident file attributes a failed sensor");
     }
 
     println!(

@@ -28,59 +28,13 @@
 //! The endpoint is polled until every assertion holds (the workload may
 //! still be warming up on the first scrapes) or a 120 s deadline passes.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use voltsense::telemetry::json::{self, Value};
+use voltsense_bench::{fail, http_get, resolve_addr};
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("profile validation FAILED: {msg}");
-    ExitCode::FAILURE
-}
-
-/// One plain HTTP/1.1 GET; returns (status code, body).
-fn get(addr: &str, path: &str) -> Result<(u32, String), String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .map_err(|e| e.to_string())?;
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-                .as_bytes(),
-        )
-        .map_err(|e| format!("send request: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("read response: {e}"))?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("{path}: malformed HTTP response"))?;
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u32>().ok())
-        .ok_or_else(|| format!("{path}: missing status code"))?;
-    Ok((status, body.to_string()))
-}
-
-/// Resolve `addr` or `@file` (polling for the file like `scrape_endpoint`).
-fn resolve_addr(arg: &str) -> Result<String, String> {
-    let Some(path) = arg.strip_prefix('@') else {
-        return Ok(arg.to_string());
-    };
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        match std::fs::read_to_string(path) {
-            Ok(s) if !s.trim().is_empty() => return Ok(s.trim().to_string()),
-            _ if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(100)),
-            _ => return Err(format!("address file {path} never appeared")),
-        }
-    }
-}
+const CHECK: &str = "profile validation";
 
 /// Structural check of the `voltsense-profile-v1` JSON; returns the
 /// reported total sample count.
@@ -157,6 +111,7 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(addr_arg) = args.next() else {
         return fail(
+            CHECK,
             "usage: validate_profile <addr | @addr-file> [--under <parent>] [--expect-top <p>]...",
         );
     };
@@ -166,18 +121,18 @@ fn main() -> ExitCode {
         match flag.as_str() {
             "--under" => match args.next() {
                 Some(p) => under = Some(p),
-                None => return fail("--under needs a value"),
+                None => return fail(CHECK, "--under needs a value"),
             },
             "--expect-top" => match args.next() {
                 Some(p) => expect_top.push(p),
-                None => return fail("--expect-top needs a value"),
+                None => return fail(CHECK, "--expect-top needs a value"),
             },
-            other => return fail(&format!("unknown flag {other:?}")),
+            other => return fail(CHECK, &format!("unknown flag {other:?}")),
         }
     }
     let addr = match resolve_addr(&addr_arg) {
         Ok(a) => a,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(CHECK, &e),
     };
 
     // The endpoint comes up before the workload has run anything worth
@@ -191,7 +146,7 @@ fn main() -> ExitCode {
                 println!("{summary}");
                 return ExitCode::SUCCESS;
             }
-            Err(e) if Instant::now() >= deadline => return fail(&e),
+            Err(e) if Instant::now() >= deadline => return fail(CHECK, &e),
             Err(_) => std::thread::sleep(Duration::from_millis(500)),
         }
     }
@@ -199,7 +154,7 @@ fn main() -> ExitCode {
 
 /// One full scrape-and-validate pass; returns the success summary line.
 fn attempt(addr: &str, under: Option<&str>, expect_top: &[String]) -> Result<String, String> {
-    let (status, body) = get(addr, "/profile")?;
+    let (status, body) = http_get(addr, "/profile")?;
     if status != 200 {
         return Err(format!("/profile answered {status}"));
     }
@@ -208,7 +163,7 @@ fn attempt(addr: &str, under: Option<&str>, expect_top: &[String]) -> Result<Str
         return Err("/profile reports zero samples — sampler never ran".into());
     }
 
-    let (status, collapsed) = get(addr, "/profile?format=collapsed")?;
+    let (status, collapsed) = http_get(addr, "/profile?format=collapsed")?;
     if status != 200 {
         return Err(format!("/profile?format=collapsed answered {status}"));
     }

@@ -7,6 +7,15 @@
 //! Scale is controlled by the `VOLTSENSE_SCALE` environment variable:
 //! `paper` (default — the 8-core chip, 19 benchmarks, ~10,000 maps) or
 //! `small` (the 2-core test chip, a quick smoke run).
+//!
+//! The observability validator bins (`scrape_endpoint`,
+//! `validate_profile`, `validate_incident`, `validate_telemetry`) share
+//! [`fail`], [`http_get`] and [`resolve_addr`] from here.
+
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 use voltsense::scenario::{CorePartition, Scenario, ScenarioData};
 
@@ -128,6 +137,57 @@ pub fn sparkline(values: &[f64]) -> String {
             LEVELS[idx.min(LEVELS.len() - 1)]
         })
         .collect()
+}
+
+/// Reports a failed validator check on stderr as `<check> FAILED: <msg>`
+/// and returns the failing exit code.
+pub fn fail(check: &str, msg: &str) -> ExitCode {
+    eprintln!("{check} FAILED: {msg}");
+    ExitCode::FAILURE
+}
+
+/// One plain HTTP/1.1 GET against a live telemetry endpoint; returns
+/// (status code, body).
+pub fn http_get(addr: &str, path: &str) -> Result<(u32, String), String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .map_err(|e| e.to_string())?;
+    stream
+        .write_all(
+            format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes(),
+        )
+        .map_err(|e| format!("send request: {e}"))?;
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .map_err(|e| format!("read response: {e}"))?;
+    let (head, body) = response
+        .split_once("\r\n\r\n")
+        .ok_or_else(|| format!("{path}: malformed HTTP response"))?;
+    let status = head
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse::<u32>().ok())
+        .ok_or_else(|| format!("{path}: missing status code"))?;
+    Ok((status, body.to_string()))
+}
+
+/// Resolves a validator's address argument: `host:port` as given, or
+/// `@file` — the file a server writes via `VOLTSENSE_TELEMETRY_ADDR_FILE`
+/// once it is up, polled for up to 60 s.
+pub fn resolve_addr(arg: &str) -> Result<String, String> {
+    let Some(path) = arg.strip_prefix('@') else {
+        return Ok(arg.to_string());
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        match std::fs::read_to_string(path) {
+            Ok(s) if !s.trim().is_empty() => return Ok(s.trim().to_string()),
+            _ if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(100)),
+            _ => return Err(format!("address file {path} did not appear within 60s")),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -365,11 +365,6 @@ impl EmergencyMonitor {
         &self.model
     }
 
-    /// `true` when the monitor carries the fault-tolerance layer.
-    pub fn is_fault_tolerant(&self) -> bool {
-        self.fault.is_some()
-    }
-
     /// Positions of permanently failed sensors (empty for naive monitors).
     pub fn failed_sensors(&self) -> Vec<usize> {
         self.fault

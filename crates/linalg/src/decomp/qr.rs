@@ -111,16 +111,6 @@ impl Qr {
         })
     }
 
-    /// Number of rows of the factored matrix.
-    pub fn num_rows(&self) -> usize {
-        self.m
-    }
-
-    /// Number of columns of the factored matrix.
-    pub fn num_cols(&self) -> usize {
-        self.n
-    }
-
     /// The upper-triangular factor `R` (`n x n`).
     pub fn r(&self) -> Matrix {
         let mut r = Matrix::zeros(self.n, self.n);

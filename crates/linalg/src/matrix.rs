@@ -156,35 +156,6 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
-    /// Builds a matrix by evaluating `f(row, col)` for every entry.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut m = Matrix::zeros(rows, cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                m[(i, j)] = f(i, j);
-            }
-        }
-        m
-    }
-
-    /// Builds a single-column matrix from a slice.
-    pub fn column_vector(values: &[f64]) -> Self {
-        Matrix {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
-    /// Builds a single-row matrix from a slice.
-    pub fn row_vector(values: &[f64]) -> Self {
-        Matrix {
-            rows: 1,
-            cols: values.len(),
-            data: values.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

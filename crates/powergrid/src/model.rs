@@ -1,5 +1,5 @@
 use voltsense_floorplan::{ChipFloorplan, NodeSite};
-use voltsense_sparse::{cg, CsrMatrix, TripletMatrix};
+use voltsense_sparse::{CsrMatrix, EnvelopeCholesky, TripletMatrix};
 
 use crate::{GridConfig, PowerGridError};
 
@@ -229,20 +229,8 @@ impl GridModel {
             t.stamp_grounded_conductance(pad.node, g);
             rhs[pad.node] += g * self.config.vdd;
         }
-        let a = t.to_csr();
-        // CG is fine for a one-off solve; the transient path uses the
-        // direct factorization.
-        let sol = cg::solve(
-            &a,
-            &rhs,
-            &cg::CgOptions {
-                max_iterations: Some(20 * n),
-                tolerance: 1e-12,
-                // IC(0) pays for itself on the one-off DC solve too.
-                preconditioner: cg::Preconditioner::IncompleteCholesky,
-            },
-        )?;
-        Ok(sol.x)
+        // The same direct factorization the transient uses.
+        Ok(EnvelopeCholesky::factor(&t.to_csr())?.solve(&rhs)?)
     }
 
     /// DC pad currents consistent with a DC node-voltage solution, used to
@@ -258,7 +246,9 @@ impl GridModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TransientSimulator;
     use voltsense_floorplan::{ChipConfig, ChipFloorplan};
+    use voltsense_testkit::{forall, vec_f64};
 
     fn model() -> (ChipFloorplan, GridModel) {
         let chip = ChipFloorplan::new(&ChipConfig::small_test()).unwrap();
@@ -372,5 +362,35 @@ mod tests {
         cfg.pad_spacing_um /= 2.0;
         let dense = GridModel::build(&chip, &cfg).unwrap();
         assert!(dense.num_pads() > 2 * coarse.num_pads());
+    }
+
+    #[test]
+    fn dc_solve_satisfies_kcl_and_conserves_charge() {
+        let (chip, model) = model();
+        forall!(cases = 64, (currents in vec_f64(chip.blocks().len(), 0.0, 2.0)) => {
+            let v = model.dc_solve(&currents).unwrap();
+            // KCL: (G_mesh + G_pad)·v = g_pad·VDD − loads at every node.
+            let vdd = model.config().vdd;
+            let mut lhs = model.mesh().matvec(&v).unwrap();
+            let mut rhs: Vec<f64> =
+                model.scatter_loads(&currents).unwrap().iter().map(|&l| -l).collect();
+            for pad in model.pads() {
+                let g = 1.0 / pad.resistance;
+                lhs[pad.node] += g * v[pad.node];
+                rhs[pad.node] += g * vdd;
+            }
+            let rhs_inf = rhs.iter().fold(0.0_f64, |m, r| m.max(r.abs()));
+            let residual = lhs.iter().zip(&rhs).fold(0.0_f64, |m, (l, r)| m.max((l - r).abs()));
+            assert!(residual <= 1e-9 * (1.0 + rhs_inf), "KCL residual {residual}");
+            // Charge conservation at DC: every amp the blocks draw enters
+            // through the pads.
+            let sim = TransientSimulator::new(&model, 1.0, &currents).unwrap();
+            let total: f64 = currents.iter().sum();
+            let pad_total: f64 = sim.pad_currents().iter().sum();
+            assert!(
+                (pad_total - total).abs() <= 1e-9 * total + 1e-12,
+                "pads carry {pad_total} A for {total} A of load"
+            );
+        });
     }
 }

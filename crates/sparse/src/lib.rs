@@ -12,9 +12,9 @@
 //! * [`ordering`] — reverse Cuthill–McKee bandwidth reduction.
 //! * [`EnvelopeCholesky`] — a profile (skyline) Cholesky factorization;
 //!   after RCM ordering a 2-D grid matrix has a narrow envelope, so
-//!   factor-once/solve-per-timestep transient simulation is cheap.
-//! * [`cg`] — Jacobi-preconditioned conjugate gradient, used for
-//!   cross-validation of the direct solver and for one-off DC solves.
+//!   factor-once/solve-per-timestep transient simulation is cheap. It is
+//!   the crate's only solver: the DC operating point and every transient
+//!   step go through it.
 //!
 //! # Example
 //!
@@ -40,16 +40,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cg;
 mod csr;
 mod envelope;
 mod error;
-mod ic;
 pub mod ordering;
 mod triplet;
 
 pub use csr::CsrMatrix;
 pub use envelope::EnvelopeCholesky;
 pub use error::SparseError;
-pub use ic::IncompleteCholesky;
 pub use triplet::TripletMatrix;

@@ -1,7 +1,7 @@
 //! Property-based tests for the sparse solvers (testkit harness: 64
 //! deterministic seeded cases per property, greedy shrinking).
 
-use voltsense_sparse::{cg, ordering, CsrMatrix, EnvelopeCholesky, TripletMatrix};
+use voltsense_sparse::{ordering, CsrMatrix, EnvelopeCholesky, TripletMatrix};
 use voltsense_testkit::{forall, u64_range, usize_range, vec_f64};
 
 /// A connected-ish SPD grid matrix with the given positive conductances
@@ -89,21 +89,6 @@ fn cholesky_solve_residual_small() {
         let ax = a.matvec(&x).unwrap();
         for (p, q) in ax.iter().zip(&b) {
             assert!((p - q).abs() < 1e-8);
-        }
-    });
-}
-
-#[test]
-fn cg_and_cholesky_agree() {
-    forall!(cases = 64, (w in usize_range(2, 6), h in usize_range(2, 6),
-                         gs in vec_f64(200, 0.1, 5.0)) => {
-        let a = spd_grid(w, h, &gs);
-        let n = a.rows();
-        let b: Vec<f64> = (0..n).map(|i| ((i * i) % 7) as f64 - 3.0).collect();
-        let direct = EnvelopeCholesky::factor(&a).unwrap().solve(&b).unwrap();
-        let iterative = cg::solve(&a, &b, &cg::CgOptions::default()).unwrap();
-        for (p, q) in direct.iter().zip(&iterative.x) {
-            assert!((p - q).abs() < 1e-6, "{} vs {}", p, q);
         }
     });
 }

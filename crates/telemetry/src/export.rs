@@ -73,11 +73,6 @@ impl Snapshot {
         self.histograms.iter().find(|h| h.name == name)
     }
 
-    /// All events with the given name, in record order.
-    pub fn events_named<'a>(&'a self, name: &str) -> Vec<&'a EventSummary> {
-        self.events.iter().filter(|e| e.name == name).collect()
-    }
-
     /// The given field of every event with the given name, in record order.
     pub fn event_series(&self, name: &str, field: &str) -> Vec<f64> {
         self.events

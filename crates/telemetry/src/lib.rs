@@ -327,11 +327,6 @@ impl ObservabilityGuard {
         &self.flight
     }
 
-    /// Bound address of the live endpoint, when one was requested.
-    pub fn server_addr(&self) -> Option<std::net::SocketAddr> {
-        self.server.as_ref().map(serve::Server::addr)
-    }
-
     /// Whether a `VOLTSENSE_TELEMETRY` export capture is also active.
     pub fn exporting(&self) -> bool {
         self.export.is_some()
